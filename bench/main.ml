@@ -34,54 +34,18 @@ let section title =
 
 let figures () =
   section "Paper figures (scenario replays)";
-  print_endline "Figure 1: seamless spread of deployment";
-  Format.printf "%a@." Scenario.pp_fig1 (Scenario.fig1 ());
-  print_endline "Figure 2: Option 2 anycast with default routes";
-  Format.printf "%a@." Scenario.pp_fig2 (Scenario.fig2 ());
-  print_endline "Figure 3: egress selection with BGPv(N-1) import";
-  Format.printf "%a@." Scenario.pp_fig3 (Scenario.fig3 ());
-  print_endline "Figure 4: advertising-by-proxy";
-  Format.printf "%a@." Scenario.pp_fig4 (Scenario.fig4 ())
+  List.iter
+    (fun (_, title, render) ->
+      print_endline title;
+      print_endline (render ()))
+    Scenario.figures
 
 let experiments () =
-  section "Experiments (E1-E32)";
-  E.print_e1 (E.e1_deployment_sweep ());
-  E.print_e2 (E.e2_default_route_sweep ());
-  E.print_e3 (E.e3_egress_comparison ());
-  E.print_e4 (E.e3_egress_comparison ~deploy_fraction:0.15 ~pairs:80 ());
-  E.print_e5 (E.e5_state_scaling ());
-  E.print_e6 (E.e6_adoption ());
-  E.print_e7 (E.e7_robustness ());
-  E.print_e8 (E.e8_convergence ());
-  E.print_e9 (E.e9_host_advertised ());
-  E.print_e10 (E.e10_discovery_ablation ());
-  E.print_e11 (E.e11_congruence ());
-  E.print_e12 (E.e12_gia_sweep ());
-  E.print_e13 (E.e13_seed_stability ());
-  E.print_e14 (E.e14_proxy_alpha ());
-  E.print_e15 (E.e15_viability_sweep ());
-  E.print_e16 (E.e16_revenue_gravity ());
-  E.print_e17 (E.e17_bgpvn_scaling ());
-  E.print_e18 (E.e18_flooding_cost ());
-  E.print_e19 (E.e19_mrai_sweep ());
-  E.print_e20 (E.e20_anycast_resilience ());
-  E.print_e21 (E.e21_size_scaling ());
-  E.print_e22 (E.e22_fib_scaling ());
-  E.print_e23 (E.e23_topology_robustness ());
-  E.print_e24 (E.e24_flow_stability ());
-  E.print_e25 (E.e25_coalition_sweep ());
-  E.print_e26 (E.e26_encapsulation_overhead ());
-  E.print_e27 (E.e27_mixed_igp ());
-  E.print_e28 (E.e28_path_hunting ());
-  E.print_e29 (E.e29_dataplane_cost ());
-  E.print_e30 (E.e30_churn_traffic ());
-  E.print_e31 (E.e31_fault_convergence ());
-  E.print_e32 (E.e32_flap_traffic ());
-  E.print_e33 (E.e33_shard_invariance ());
-  E.print_e34 (E.e34_drill_catalog ());
-  E.print_e35 (E.e35_hijack_containment ());
-  E.print_e36 (E.e36_overload_response ());
-  E.print_e37 (E.e37_crash_recovery ())
+  section "Experiments";
+  List.iter
+    (fun (e : E.spec) ->
+      Evolve.Table.print ~title:e.title (e.run Internet.default_params))
+    E.all
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks                                                     *)
@@ -336,9 +300,12 @@ let run_benchmarks () =
       ]
   in
   Evolve.Table.print ~title:"core operation costs"
-    ~header:[ "operation"; "ns/run" ]
-    ~rows:
-      (List.map (fun (name, ns) -> [ name; Printf.sprintf "%.0f" ns ]) rows)
+    (Evolve.Table.of_columns
+       [
+         ("operation", fst);
+         ("ns/run", fun (_, ns) -> Printf.sprintf "%.0f" ns);
+       ]
+       rows)
 
 (* --- machine-readable bench output (--json) ------------------------- *)
 

@@ -23,6 +23,16 @@ module Drillbook = Ops.Drillbook
 module Drill = Ops.Drill
 module Slo = Ops.Slo
 
+type spec = {
+  id : string;
+  title : string;
+  describe : string;
+  run : Internet.params -> Table.t;
+}
+
+(* [run] of a registry entry: the sweep's rows through its columns *)
+let tabulate sweep columns params = Table.of_columns columns (sweep params)
+
 let all_endhosts (inet : Internet.t) =
   List.init (Array.length inet.Internet.endhosts) Fun.id
 
@@ -70,20 +80,21 @@ let e1_deployment_sweep ?(params = Internet.default_params)
       })
     fractions
 
-let print_e1 rows =
-  Table.print ~title:"E1: anycast stretch vs deployment fraction (Option 1)"
-    ~header:[ "fraction"; "domains"; "mean stretch"; "p95 stretch"; "delivery" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.fraction;
-             Table.fi r.deployed_domains;
-             Table.ff r.mean_stretch;
-             Table.ff r.p95_stretch;
-             Table.fpct r.delivery_rate;
-           ])
-         rows)
+let e1 =
+  {
+    id = "e1";
+    title = "E1 — anycast stretch vs deployment fraction";
+    describe = "anycast stretch vs deployment fraction (Option 1)";
+    run =
+      tabulate (fun params -> e1_deployment_sweep ~params ())
+        [
+          ("fraction", fun r -> Table.ff r.fraction);
+          ("domains", fun r -> Table.fi r.deployed_domains);
+          ("mean stretch", fun r -> Table.ff r.mean_stretch);
+          ("p95", fun r -> Table.ff r.p95_stretch);
+          ("delivery", fun r -> Table.fpct r.delivery_rate);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E2                                                                  *)
@@ -151,22 +162,21 @@ let e2_default_route_sweep ?(params = Internet.default_params)
   in
   List.rev (ref_row :: !rows)
 
-let print_e2 rows =
-  Table.print
-    ~title:"E2: Option 2 default routes, effect of peering advertisements"
-    ~header:
-      [ "scheme"; "advertisers"; "default share"; "mean stretch"; "delivery" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.label;
-             Table.fi r.advertisers;
-             Table.fpct r.default_share;
-             Table.ff r.mean_stretch2;
-             Table.fpct r.delivery2;
-           ])
-         rows)
+let e2 =
+  {
+    id = "e2";
+    title = "E2 — Option 2 default routes vs peering advertisements";
+    describe = "default-route option: advertisers vs stretch and load";
+    run =
+      tabulate (fun params -> e2_default_route_sweep ~params ())
+        [
+          ("scheme", fun r -> r.label);
+          ("advertisers", fun r -> Table.fi r.advertisers);
+          ("default share", fun r -> Table.fpct r.default_share);
+          ("stretch", fun r -> Table.ff r.mean_stretch2);
+          ("delivery", fun r -> Table.fpct r.delivery2);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E3 / E4                                                             *)
@@ -238,28 +248,36 @@ let e3_egress_comparison ?(params = Internet.default_params)
   in
   [ run Router.Exit_early; run Router.Bgp_aware; run Router.Proxy ]
 
-let print_strategy_rows title rows =
-  Table.print ~title
-    ~header:
-      [ "strategy"; "vN fraction"; "vN hops"; "exposure"; "total hops"; "delivery" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.strategy_name;
-             Table.ff r.mean_vn_fraction;
-             Table.ff r.mean_vn_hops;
-             Table.ff r.mean_exposure_hops;
-             Table.ff r.mean_total_hops;
-             Table.fpct r.journey_delivery;
-           ])
-         rows)
+let strategy_columns =
+  [
+    ("strategy", fun r -> r.strategy_name);
+    ("vN fraction", fun r -> Table.ff r.mean_vn_fraction);
+    ("vN hops", fun r -> Table.ff r.mean_vn_hops);
+    ("exposure", fun r -> Table.ff r.mean_exposure_hops);
+    ("total", fun r -> Table.ff r.mean_total_hops);
+    ("delivery", fun r -> Table.fpct r.journey_delivery);
+  ]
 
-let print_e3 rows =
-  print_strategy_rows "E3: egress selection (Fig 3 generalized)" rows
+let e3 =
+  {
+    id = "e3";
+    title = "E3 — egress strategies (30% deployed)";
+    describe = "egress strategies compared end to end";
+    run =
+      tabulate (fun params -> e3_egress_comparison ~params ()) strategy_columns;
+  }
 
-let print_e4 rows =
-  print_strategy_rows "E4: advertising-by-proxy (Fig 4 generalized)" rows
+let e4 =
+  {
+    id = "e4";
+    title = "E4 — egress strategies (15% deployed)";
+    describe = "egress comparison at sparse deployment";
+    run =
+      tabulate
+        (fun params ->
+          e3_egress_comparison ~params ~deploy_fraction:0.15 ~pairs:80 ())
+        strategy_columns;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E5                                                                  *)
@@ -326,29 +344,22 @@ let e5_state_scaling ?(params = Internet.default_params) ?(max_generations = 6)
         baseline_rib = baseline;
       })
 
-let print_e5 rows =
-  Table.print ~title:"E5: inter-domain routing state vs concurrent IPvN generations"
-    ~header:
-      [
-        "generations";
-        "opt1 mean RIB";
-        "opt1 max RIB";
-        "opt2 mean RIB";
-        "opt2 max RIB";
-        "baseline";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.generations;
-             Table.ff r.opt1_mean_rib;
-             Table.fi r.opt1_max_rib;
-             Table.ff r.opt2_mean_rib;
-             Table.fi r.opt2_max_rib;
-             Table.fi r.baseline_rib;
-           ])
-         rows)
+let e5 =
+  {
+    id = "e5";
+    title = "E5 — RIB state vs concurrent generations";
+    describe = "routing-state scaling per domain class";
+    run =
+      tabulate (fun params -> e5_state_scaling ~params ())
+        [
+          ("generations", fun r -> Table.fi r.generations);
+          ("opt1 mean", fun r -> Table.ff r.opt1_mean_rib);
+          ("opt1 max", fun r -> Table.fi r.opt1_max_rib);
+          ("opt2 mean", fun r -> Table.ff r.opt2_mean_rib);
+          ("opt2 max", fun r -> Table.fi r.opt2_max_rib);
+          ("baseline", fun r -> Table.fi r.baseline_rib);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E6                                                                  *)
@@ -392,19 +403,22 @@ let e6_adoption ?(seeds = [ 1L; 2L; 3L; 4L; 5L ]) ?(base = Adoption.default_para
   in
   [ run_mean true; run_mean false ]
 
-let print_e6 rows =
-  Table.print ~title:"E6: adoption dynamics (virtuous cycle vs chicken-and-egg)"
-    ~header:[ "scenario"; "final ISP adoption"; "final app adoption"; "tip step" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.scenario;
-             Table.fpct r.final_isp_fraction;
-             Table.fpct r.final_app_fraction;
-             (match r.tip_step with Some s -> Table.fi s | None -> "never");
-           ])
-         rows)
+let e6 =
+  {
+    id = "e6";
+    title = "E6 — adoption dynamics";
+    describe = "adoption dynamics of successive IP generations";
+    run =
+      tabulate (fun _ -> e6_adoption ())
+        [
+          ("scenario", fun r -> r.scenario);
+          ("final ISPs", fun r -> Table.fpct r.final_isp_fraction);
+          ("final apps", fun r -> Table.fpct r.final_app_fraction);
+          ( "tip step",
+            fun r ->
+              match r.tip_step with Some s -> Table.fi s | None -> "never" );
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E7                                                                  *)
@@ -513,29 +527,21 @@ let e7_robustness ?(params = Internet.default_params) ?(deploy_domains = 8)
       })
     failure_fractions
 
-let print_e7 rows =
-  Table.print ~title:"E7: vN-Bone survivability under member failures"
-    ~header:
-      [
-        "failure fraction";
-        "survives (k=1)";
-        "survives (k=2)";
-        "survives (k=3)";
-        "repair tunnels";
-        "trials";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.failure_fraction;
-             Table.fpct r.survive_k1;
-             Table.fpct r.survive_k2;
-             Table.fpct r.survive_k3;
-             Table.ff r.mean_repair_tunnels;
-             Table.fi r.trials;
-           ])
-         rows)
+let e7 =
+  {
+    id = "e7";
+    title = "E7 — vN-Bone survivability";
+    describe = "vN-Bone partition robustness (anchoring ablation)";
+    run =
+      tabulate (fun params -> e7_robustness ~params ())
+        [
+          ("failure", fun r -> Table.ff r.failure_fraction);
+          ("k=1", fun r -> Table.fpct r.survive_k1);
+          ("k=2", fun r -> Table.fpct r.survive_k2);
+          ("k=3", fun r -> Table.fpct r.survive_k3);
+          ("repair tunnels", fun r -> Table.ff r.mean_repair_tunnels);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E8                                                                  *)
@@ -594,19 +600,20 @@ let e8_convergence ?(sizes = [ 8; 16; 32; 64 ]) ?(seed = 5L) () =
       })
     sizes
 
-let print_e8 rows =
-  Table.print ~title:"E8: anycast convergence, link-state vs distance-vector"
-    ~header:[ "routers"; "LS flood rounds"; "DV join rounds"; "DV leave rounds" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.domain_routers;
-             Table.ff r.ls_mean_rounds;
-             Table.ff r.dv_join_rounds;
-             Table.ff r.dv_leave_rounds;
-           ])
-         rows)
+let e8 =
+  {
+    id = "e8";
+    title = "E8 — anycast convergence (LS vs DV)";
+    describe = "IGP convergence cost after membership changes";
+    run =
+      tabulate (fun _ -> e8_convergence ())
+        [
+          ("routers", fun r -> Table.fi r.domain_routers);
+          ("LS rounds", fun r -> Table.ff r.ls_mean_rounds);
+          ("DV join", fun r -> Table.ff r.dv_join_rounds);
+          ("DV leave", fun r -> Table.ff r.dv_leave_rounds);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E9                                                                  *)
@@ -697,27 +704,21 @@ let e9_host_advertised ?(params = Internet.default_params)
       })
     failures
 
-let print_e9 rows =
-  Table.print ~title:"E9: host-advertised routes vs proxy under member failures"
-    ~header:
-      [
-        "member failure";
-        "host-adv delivery";
-        "proxy delivery";
-        "host-adv exposure";
-        "proxy exposure";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.member_failure;
-             Table.fpct r.host_adv_delivery;
-             Table.fpct r.proxy_delivery;
-             Table.ff r.host_adv_exposure;
-             Table.ff r.proxy_exposure;
-           ])
-         rows)
+let e9 =
+  {
+    id = "e9";
+    title = "E9 — host-advertised routes vs proxy";
+    describe = "host-advertised exit routes vs table growth";
+    run =
+      tabulate (fun params -> e9_host_advertised ~params ())
+        [
+          ("failure", fun r -> Table.ff r.member_failure);
+          ("host-adv delivery", fun r -> Table.fpct r.host_adv_delivery);
+          ("proxy delivery", fun r -> Table.fpct r.proxy_delivery);
+          ("host-adv exposure", fun r -> Table.ff r.host_adv_exposure);
+          ("proxy exposure", fun r -> Table.ff r.proxy_exposure);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E10                                                                 *)
@@ -755,20 +756,20 @@ let e10_discovery_ablation ?(params = Internet.default_params)
       (Fabric.build ~discovery:Fabric.Anycast_walk service);
   ]
 
-let print_e10 rows =
-  Table.print
-    ~title:"E10: member discovery ablation (LSDB k-closest vs DV anycast walk)"
-    ~header:[ "discovery"; "intra tunnels"; "vN stretch"; "connected" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.discovery_name;
-             Table.fi r.intra_tunnels;
-             Table.ff r.vn_stretch;
-             Table.fb r.connected10;
-           ])
-         rows)
+let e10 =
+  {
+    id = "e10";
+    title = "E10 — discovery ablation";
+    describe = "member-discovery ablation (LSDB vs anycast walk)";
+    run =
+      tabulate (fun params -> e10_discovery_ablation ~params ())
+        [
+          ("discovery", fun r -> r.discovery_name);
+          ("intra tunnels", fun r -> Table.fi r.intra_tunnels);
+          ("vN stretch", fun r -> Table.ff r.vn_stretch);
+          ("connected", fun r -> Table.fb r.connected10);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E11                                                                 *)
@@ -812,19 +813,20 @@ let e11_congruence ?(params = Internet.default_params)
       })
     fractions
 
-let print_e11 rows =
-  Table.print ~title:"E11: vN-Bone congruence with the physical topology"
-    ~header:[ "deploy fraction"; "members"; "vN stretch"; "inter tunnels" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.deploy_fraction11;
-             Table.fi r.members11;
-             Table.ff r.vn_stretch11;
-             Table.fi r.inter_tunnels11;
-           ])
-         rows)
+let e11 =
+  {
+    id = "e11";
+    title = "E11 — congruence";
+    describe = "vN-Bone congruence with the physical topology";
+    run =
+      tabulate (fun params -> e11_congruence ~params ())
+        [
+          ("fraction", fun r -> Table.ff r.deploy_fraction11);
+          ("members", fun r -> Table.fi r.members11);
+          ("vN stretch", fun r -> Table.ff r.vn_stretch11);
+          ("inter tunnels", fun r -> Table.fi r.inter_tunnels11);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E12                                                                 *)
@@ -879,22 +881,21 @@ let e12_gia_sweep ?(params = Internet.default_params) ?(participants = 5)
       run "option1 (global)" None Service.Option1;
     ]
 
-let print_e12 rows =
-  Table.print
-    ~title:"E12: GIA search radius, between Option 2 (r=0) and Option 1"
-    ~header:
-      [ "scheme"; "home share"; "mean stretch"; "delivery"; "mean RIB" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.scheme12;
-             Table.fpct r.home_share;
-             Table.ff r.mean_stretch12;
-             Table.fpct r.delivery12;
-             Table.ff r.mean_rib12;
-           ])
-         rows)
+let e12 =
+  {
+    id = "e12";
+    title = "E12 — GIA radius";
+    describe = "GIA search-radius sweep";
+    run =
+      tabulate (fun params -> e12_gia_sweep ~params ())
+        [
+          ("scheme", fun r -> r.scheme12);
+          ("home share", fun r -> Table.fpct r.home_share);
+          ("stretch", fun r -> Table.ff r.mean_stretch12);
+          ("delivery", fun r -> Table.fpct r.delivery12);
+          ("mean RIB", fun r -> Table.ff r.mean_rib12);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E13                                                                 *)
@@ -939,21 +940,20 @@ let e13_seed_stability ?(seeds = [ 101L; 202L; 303L; 404L; 505L ])
       })
     names
 
-let print_e13 rows =
-  Table.print
-    ~title:"E13: egress-strategy results across independent internets (95% CI)"
-    ~header:[ "strategy"; "vN fraction"; "exposure hops"; "delivery"; "seeds" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.strategy13;
-             Stats.to_string r.vn_fraction_ci;
-             Stats.to_string r.exposure_ci;
-             Stats.to_string r.delivery_ci;
-             Table.fi r.seeds13;
-           ])
-         rows)
+let e13 =
+  {
+    id = "e13";
+    title = "E13 — seed stability (95% CI)";
+    describe = "claim stability across topology seeds";
+    run =
+      tabulate (fun _ -> e13_seed_stability ())
+        [
+          ("strategy", fun r -> r.strategy13);
+          ("vN fraction", fun r -> Stats.to_string r.vn_fraction_ci);
+          ("exposure", fun r -> Stats.to_string r.exposure_ci);
+          ("delivery", fun r -> Stats.to_string r.delivery_ci);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E14                                                                 *)
@@ -1021,20 +1021,20 @@ let e14_proxy_alpha ?(params = Internet.default_params)
       })
     alphas
 
-let print_e14 rows =
-  Table.print
-    ~title:"E14: proxy-metric ablation — weight of a vN hop vs an AS hop"
-    ~header:[ "alpha"; "vN fraction"; "exposure hops"; "total hops" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.alpha;
-             Table.ff r.alpha_vn_fraction;
-             Table.ff r.alpha_exposure;
-             Table.ff r.alpha_total_hops;
-           ])
-         rows)
+let e14 =
+  {
+    id = "e14";
+    title = "E14 — proxy-metric ablation";
+    describe = "proxy-advertising alpha sweep";
+    run =
+      tabulate (fun params -> e14_proxy_alpha ~params ())
+        [
+          ("alpha", fun r -> Table.ff r.alpha);
+          ("vN fraction", fun r -> Table.ff r.alpha_vn_fraction);
+          ("exposure", fun r -> Table.ff r.alpha_exposure);
+          ("total", fun r -> Table.ff r.alpha_total_hops);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E15                                                                 *)
@@ -1067,20 +1067,19 @@ let e15_viability_sweep ?(seeds = [ 11L; 22L; 33L ])
       { viability; ua_final = final true; gated_final = final false })
     thresholds
 
-let print_e15 rows =
-  Table.print
-    ~title:
-      "E15: adoption vs app-viability threshold (where the chicken-and-egg bites)"
-    ~header:[ "viability floor"; "UA final adoption"; "gated final adoption" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.viability;
-             Table.fpct r.ua_final;
-             Table.fpct r.gated_final;
-           ])
-         rows)
+let e15 =
+  {
+    id = "e15";
+    title = "E15 — viability threshold";
+    describe = "deployment viability across provider price gaps";
+    run =
+      tabulate (fun _ -> e15_viability_sweep ())
+        [
+          ("floor", fun r -> Table.ff r.viability);
+          ("UA final", fun r -> Table.fpct r.ua_final);
+          ("gated final", fun r -> Table.fpct r.gated_final);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E16                                                                 *)
@@ -1131,22 +1130,20 @@ let e16_revenue_gravity ?(params = Internet.default_params) ?(deployers = 4)
     pick "smallest stubs" (fun stubs -> take deployers (List.rev stubs));
   ]
 
-let print_e16 rows =
-  Table.print
-    ~title:
-      "E16: traffic attraction under gravity workloads (assumption A4)"
-    ~header:
-      [ "deployers"; "population share"; "IPvN traffic share"; "premium" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.picker;
-             Table.fpct r.pop_share;
-             Table.fpct r.traffic_share;
-             Table.ff r.attraction_premium;
-           ])
-         rows)
+let e16 =
+  {
+    id = "e16";
+    title = "E16 — traffic attraction";
+    describe = "revenue gravity of early adopters";
+    run =
+      tabulate (fun params -> e16_revenue_gravity ~params ())
+        [
+          ("deployers", fun r -> r.picker);
+          ("population", fun r -> Table.fpct r.pop_share);
+          ("traffic", fun r -> Table.fpct r.traffic_share);
+          ("premium", fun r -> Table.ff r.attraction_premium);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E17                                                                 *)
@@ -1186,19 +1183,20 @@ let e17_bgpvn_scaling ?(params = Internet.default_params)
       })
     domain_counts
 
-let print_e17 rows =
-  Table.print ~title:"E17: BGPvN convergence and per-member state"
-    ~header:[ "vN domains"; "members"; "rounds"; "mean table size" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.vn_domains;
-             Table.fi r.vn_members;
-             Table.fi r.bgpvn_rounds;
-             Table.ff r.mean_table;
-           ])
-         rows)
+let e17 =
+  {
+    id = "e17";
+    title = "E17 — BGPvN scaling";
+    describe = "BGPvN table scaling with membership";
+    run =
+      tabulate (fun params -> e17_bgpvn_scaling ~params ())
+        [
+          ("vN domains", fun r -> Table.fi r.vn_domains);
+          ("members", fun r -> Table.fi r.vn_members);
+          ("rounds", fun r -> Table.fi r.bgpvn_rounds);
+          ("table", fun r -> Table.ff r.mean_table);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E18                                                                 *)
@@ -1241,21 +1239,21 @@ let e18_flooding_cost ?(sizes = [ 8; 16; 32; 64 ]) ?(seed = 5L) () =
       })
     sizes
 
-let print_e18 rows =
-  Table.print ~title:"E18: message-level LSA flooding cost and latency"
-    ~header:
-      [ "routers"; "sync msgs"; "update msgs"; "update latency"; "eccentricity" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.ls_routers;
-             Table.fi r.sync_messages;
-             Table.fi r.update_messages;
-             Table.ff r.update_latency;
-             Table.fi r.eccentricity;
-           ])
-         rows)
+let e18 =
+  {
+    id = "e18";
+    title = "E18 — LSA flooding";
+    describe = "link-state flooding cost and latency";
+    run =
+      tabulate (fun _ -> e18_flooding_cost ())
+        [
+          ("routers", fun r -> Table.fi r.ls_routers);
+          ("sync msgs", fun r -> Table.fi r.sync_messages);
+          ("update msgs", fun r -> Table.fi r.update_messages);
+          ("latency", fun r -> Table.ff r.update_latency);
+          ("ecc", fun r -> Table.fi r.eccentricity);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E19                                                                 *)
@@ -1295,30 +1293,22 @@ let e19_mrai_sweep ?(params = Internet.default_params)
       })
     mrais
 
-let print_e19 rows =
-  Table.print
-    ~title:"E19: asynchronous BGP — MRAI vs update load and convergence time"
-    ~header:
-      [
-        "MRAI";
-        "boot updates";
-        "boot time";
-        "anycast updates";
-        "anycast time";
-        "anycast churn";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.mrai;
-             Table.fi r.boot_updates;
-             Table.ff r.boot_time;
-             Table.fi r.anycast_updates;
-             Table.ff r.anycast_time;
-             Table.fi r.churn;
-           ])
-         rows)
+let e19 =
+  {
+    id = "e19";
+    title = "E19 — asynchronous BGP (MRAI)";
+    describe = "BGP MRAI sweep: churn vs convergence time";
+    run =
+      tabulate (fun params -> e19_mrai_sweep ~params ())
+        [
+          ("MRAI", fun r -> Table.ff r.mrai);
+          ("boot updates", fun r -> Table.fi r.boot_updates);
+          ("boot time", fun r -> Table.ff r.boot_time);
+          ("anycast updates", fun r -> Table.fi r.anycast_updates);
+          ("anycast time", fun r -> Table.ff r.anycast_time);
+          ("churn", fun r -> Table.fi r.churn);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E20                                                                 *)
@@ -1375,20 +1365,19 @@ let e20_anycast_resilience ?(params = Internet.default_params)
       })
     kill_steps
 
-let print_e20 rows =
-  Table.print
-    ~title:
-      "E20: service survival under member failures — anycast vs a single server"
-    ~header:[ "dead members"; "anycast delivery"; "single-server delivery" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.dead_members;
-             Table.fpct r.anycast_delivery;
-             Table.fpct r.unicast_delivery;
-           ])
-         rows)
+let e20 =
+  {
+    id = "e20";
+    title = "E20 — anycast resilience";
+    describe = "anycast resilience to member failures";
+    run =
+      tabulate (fun params -> e20_anycast_resilience ~params ())
+        [
+          ("dead members", fun r -> Table.fi r.dead_members);
+          ("anycast", fun r -> Table.fpct r.anycast_delivery);
+          ("single server", fun r -> Table.fpct r.unicast_delivery);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E21                                                                 *)
@@ -1442,22 +1431,22 @@ let e21_size_scaling ?(transit_counts = [ 2; 4; 8; 12; 16 ]) () =
       })
     transit_counts
 
-let print_e21 rows =
-  Table.print ~title:"E21: behaviour and cost vs internet size"
-    ~header:
-      [ "domains"; "routers"; "BGP rounds"; "mean stretch"; "delivery"; "total RIB" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.domains21;
-             Table.fi r.routers21;
-             Table.fi r.bgp_rounds;
-             Table.ff r.mean_stretch21;
-             Table.fpct r.delivery21;
-             Table.fi r.total_rib;
-           ])
-         rows)
+let e21 =
+  {
+    id = "e21";
+    title = "E21 — size scaling";
+    describe = "claim scaling with internet size";
+    run =
+      tabulate (fun _ -> e21_size_scaling ())
+        [
+          ("domains", fun r -> Table.fi r.domains21);
+          ("routers", fun r -> Table.fi r.routers21);
+          ("BGP rounds", fun r -> Table.fi r.bgp_rounds);
+          ("stretch", fun r -> Table.ff r.mean_stretch21);
+          ("delivery", fun r -> Table.fpct r.delivery21);
+          ("total RIB", fun r -> Table.fi r.total_rib);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E22                                                                 *)
@@ -1513,22 +1502,21 @@ let e22_fib_scaling ?(params = Internet.default_params) ?(max_generations = 5)
       })
     (List.combine opt1 opt2)
 
-let print_e22 rows =
-  Table.print
-    ~title:"E22: compiled FIB size (data plane) vs concurrent IPvN generations"
-    ~header:
-      [ "generations"; "opt1 mean FIB"; "opt1 max FIB"; "opt2 mean FIB"; "opt2 max FIB" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.generations22;
-             Table.ff r.opt1_mean_fib;
-             Table.fi r.opt1_max_fib;
-             Table.ff r.opt2_mean_fib;
-             Table.fi r.opt2_max_fib;
-           ])
-         rows)
+let e22 =
+  {
+    id = "e22";
+    title = "E22 — compiled FIB sizes";
+    describe = "FIB size scaling per router class";
+    run =
+      tabulate (fun params -> e22_fib_scaling ~params ())
+        [
+          ("generations", fun r -> Table.fi r.generations22);
+          ("opt1 mean", fun r -> Table.ff r.opt1_mean_fib);
+          ("opt1 max", fun r -> Table.fi r.opt1_max_fib);
+          ("opt2 mean", fun r -> Table.ff r.opt2_mean_fib);
+          ("opt2 max", fun r -> Table.fi r.opt2_max_fib);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E23                                                                 *)
@@ -1604,21 +1592,21 @@ let e23_topology_robustness ?(pairs = 80) () =
       (Internet.build_ba Internet.default_ba_params);
   ]
 
-let print_e23 rows =
-  Table.print
-    ~title:"E23: robustness of the claims to the topology model (~20% deployed)"
-    ~header:[ "model"; "domains"; "delivery"; "mean stretch"; "exposure drop" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.model;
-             Table.fi r.domains23;
-             Table.fpct r.delivery23;
-             Table.ff r.stretch23;
-             Table.fpct r.exposure_drop;
-           ])
-         rows)
+let e23 =
+  {
+    id = "e23";
+    title = "E23 — topology-model robustness";
+    describe = "claims on a preferential-attachment topology";
+    run =
+      tabulate (fun _ -> e23_topology_robustness ())
+        [
+          ("model", fun r -> r.model);
+          ("domains", fun r -> Table.fi r.domains23);
+          ("delivery", fun r -> Table.fpct r.delivery23);
+          ("stretch", fun r -> Table.ff r.stretch23);
+          ("exposure drop", fun r -> Table.fpct r.exposure_drop);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E24                                                                 *)
@@ -1683,20 +1671,19 @@ let e24_flow_stability ?(params = Internet.default_params) ?(stages = 8) () =
           })
     (List.init stages Fun.id)
 
-let print_e24 rows =
-  Table.print
-    ~title:
-      "E24: anycast flow stability during deployment churn (a known limitation)"
-    ~header:[ "domains deployed"; "ingress moved this stage"; "never moved" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.stage;
-             Table.fpct r.ingress_changed;
-             Table.fpct r.cumulative_stability;
-           ])
-         rows)
+let e24 =
+  {
+    id = "e24";
+    title = "E24 — anycast flow stability";
+    describe = "flow stability under deployment churn";
+    run =
+      tabulate (fun params -> e24_flow_stability ~params ())
+        [
+          ("deployed", fun r -> Table.fi r.stage);
+          ("moved this stage", fun r -> Table.fpct r.ingress_changed);
+          ("never moved", fun r -> Table.fpct r.cumulative_stability);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E25                                                                 *)
@@ -1741,22 +1728,20 @@ let e25_coalition_sweep ?(seeds = [ 1L; 2L; 3L ])
       })
     coalitions
 
-let print_e25 rows =
-  Table.print
-    ~title:
-      "E25: acting in concert — coalition size needed without universal access"
-    ~header:
-      [ "coalition"; "market share"; "gated final adoption"; "UA final adoption" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.coalition;
-             Table.fpct r.coalition_share;
-             Table.fpct r.gated_final25;
-             Table.fpct r.ua_final25;
-           ])
-         rows)
+let e25 =
+  {
+    id = "e25";
+    title = "E25 — acting in concert";
+    describe = "coalition strategies for staged deployment";
+    run =
+      tabulate (fun _ -> e25_coalition_sweep ())
+        [
+          ("coalition", fun r -> Table.fi r.coalition);
+          ("market share", fun r -> Table.fpct r.coalition_share);
+          ("gated final", fun r -> Table.fpct r.gated_final25);
+          ("UA final", fun r -> Table.fpct r.ua_final25);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E26                                                                 *)
@@ -1836,22 +1821,21 @@ let e26_encapsulation_overhead ?(params = Internet.default_params)
       })
     payloads
 
-let print_e26 rows =
-  Table.print
-    ~title:"E26: the byte cost of evolution (encapsulation + vN detours)"
-    ~header:
-      [ "payload B"; "native B*hops"; "evolved B*hops"; "overhead"; "header share" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.payload_bytes;
-             Table.ff r.native_bytes;
-             Table.ff r.evolved_bytes;
-             Table.fpct r.byte_overhead;
-             Table.fpct r.header_share;
-           ])
-         rows)
+let e26 =
+  {
+    id = "e26";
+    title = "E26 — the byte cost of evolution";
+    describe = "encapsulation byte overhead on the wire";
+    run =
+      tabulate (fun params -> e26_encapsulation_overhead ~params ())
+        [
+          ("payload B", fun r -> Table.fi r.payload_bytes);
+          ("native", fun r -> Table.ff r.native_bytes);
+          ("evolved", fun r -> Table.ff r.evolved_bytes);
+          ("overhead", fun r -> Table.fpct r.byte_overhead);
+          ("header share", fun r -> Table.fpct r.header_share);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E27                                                                 *)
@@ -1898,23 +1882,21 @@ let e27_mixed_igp ?(params = Internet.default_params)
       })
     dv_fractions
 
-let print_e27 rows =
-  Table.print
-    ~title:
-      "E27: heterogeneous IGPs — distance-vector domains in the deployment"
-    ~header:
-      [ "DV fraction"; "delivery"; "anycast stretch"; "walk domains"; "vN stretch" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.dv_fraction;
-             Table.fpct r.delivery27;
-             Table.ff r.stretch27;
-             Table.fi r.walk_domains;
-             Table.ff r.vn_stretch27;
-           ])
-         rows)
+let e27 =
+  {
+    id = "e27";
+    title = "E27 — heterogeneous IGPs";
+    describe = "mixed link-state/distance-vector IGPs";
+    run =
+      tabulate (fun params -> e27_mixed_igp ~params ())
+        [
+          ("DV fraction", fun r -> Table.ff r.dv_fraction);
+          ("delivery", fun r -> Table.fpct r.delivery27);
+          ("anycast stretch", fun r -> Table.ff r.stretch27);
+          ("walk domains", fun r -> Table.fi r.walk_domains);
+          ("vN stretch", fun r -> Table.ff r.vn_stretch27);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E28                                                                 *)
@@ -1973,31 +1955,22 @@ let e28_path_hunting ?(params = Internet.default_params)
       })
     mrais
 
-let print_e28 rows =
-  Table.print
-    ~title:
-      "E28: withdrawing an anycast prefix — BGP path hunting vs announcement"
-    ~header:
-      [
-        "MRAI";
-        "announce msgs";
-        "announce churn";
-        "withdraw msgs";
-        "withdraw churn";
-        "hunt ratio";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.mrai28;
-             Table.fi r.announce_updates;
-             Table.fi r.announce_churn;
-             Table.fi r.withdraw_updates;
-             Table.fi r.withdraw_churn;
-             Table.ff r.hunt_ratio;
-           ])
-         rows)
+let e28 =
+  {
+    id = "e28";
+    title = "E28 — path hunting on withdrawal";
+    describe = "BGP path hunting on withdrawal";
+    run =
+      tabulate (fun params -> e28_path_hunting ~params ())
+        [
+          ("MRAI", fun r -> Table.ff r.mrai28);
+          ("ann msgs", fun r -> Table.fi r.announce_updates);
+          ("ann churn", fun r -> Table.fi r.announce_churn);
+          ("wd msgs", fun r -> Table.fi r.withdraw_updates);
+          ("wd churn", fun r -> Table.fi r.withdraw_churn);
+          ("hunt ratio", fun r -> Table.ff r.hunt_ratio);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E29                                                                 *)
@@ -2111,33 +2084,23 @@ let e29_dataplane_cost ?(params = Internet.default_params)
         fractions)
     strategies
 
-let print_e29 rows =
-  Table.print
-    ~title:
-      "E29: the data-plane cost of evolution (batched flows over compiled FIBs)"
-    ~header:
-      [
-        "option";
-        "fraction";
-        "delivery";
-        "mean stretch";
-        "p99 stretch";
-        "byte overhead";
-        "cache hits";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.option29;
-             Table.ff r.fraction29;
-             Table.fpct r.delivery29;
-             Table.ff r.mean_stretch29;
-             Table.ff r.p99_stretch29;
-             Table.fpct r.byte_overhead29;
-             Table.fpct r.cache_hit29;
-           ])
-         rows)
+let e29 =
+  {
+    id = "e29";
+    title = "E29 — the data-plane cost of evolution";
+    describe = "data-plane cost of the pump vs the oracle";
+    run =
+      tabulate (fun params -> e29_dataplane_cost ~params ())
+        [
+          ("option", fun r -> r.option29);
+          ("fraction", fun r -> Table.ff r.fraction29);
+          ("delivery", fun r -> Table.fpct r.delivery29);
+          ("mean stretch", fun r -> Table.ff r.mean_stretch29);
+          ("p99 stretch", fun r -> Table.ff r.p99_stretch29);
+          ("byte overhead", fun r -> Table.fpct r.byte_overhead29);
+          ("cache hits", fun r -> Table.fpct r.cache_hit29);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E30                                                                 *)
@@ -2248,26 +2211,23 @@ let e30_churn_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
   ignore (Simcore.Engine.run engine);
   List.rev !rows
 
-let print_e30 rows =
-  Table.print
-    ~title:
-      "E30: traffic during churn — stale FIB snapshots across a membership \
-       change"
-    ~header:
-      [ "tick"; "phase"; "fresh FIBs"; "ok"; "stale"; "lost"; "looped" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.tick30;
-             r.phase30;
-             Table.fpct r.fresh30;
-             Table.fpct r.ok30;
-             Table.fpct r.stale30;
-             Table.fpct r.lost30;
-             Table.fpct r.looped30;
-           ])
-         rows)
+let e30 =
+  {
+    id = "e30";
+    title = "E30 — traffic during churn";
+    describe = "traffic through a control-plane convergence window";
+    run =
+      tabulate (fun params -> e30_churn_traffic ~params ())
+        [
+          ("tick", fun r -> Table.fi r.tick30);
+          ("phase", fun r -> r.phase30);
+          ("fresh FIBs", fun r -> Table.fpct r.fresh30);
+          ("ok", fun r -> Table.fpct r.ok30);
+          ("stale", fun r -> Table.fpct r.stale30);
+          ("lost", fun r -> Table.fpct r.lost30);
+          ("looped", fun r -> Table.fpct r.looped30);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E31                                                                 *)
@@ -2411,26 +2371,23 @@ let e31_fault_convergence ?(params = Internet.default_params)
   @ List.map (fun loss -> ls_run ~loss ~crash:false) losses
   @ [ ls_run ~loss:crash_loss ~crash:true ]
 
-let print_e31 rows =
-  Table.print
-    ~title:
-      "E31: control-plane convergence under loss, delay and crashes — final \
-       state vs the centralized oracle"
-    ~header:
-      [ "proto"; "loss"; "crashed"; "msgs"; "overhead"; "settle"; "oracle" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.proto31;
-             Table.fpct r.loss31;
-             Table.fi r.crashed31;
-             Table.fi r.msgs31;
-             Table.fi r.overhead31;
-             Table.ff r.settle31;
-             (if r.agrees31 then "agree" else "DISAGREE");
-           ])
-         rows)
+let e31 =
+  {
+    id = "e31";
+    title = "E31 — control-plane convergence under faults";
+    describe = "protocol convergence under loss and crashes";
+    run =
+      tabulate (fun params -> e31_fault_convergence ~params ())
+        [
+          ("proto", fun r -> r.proto31);
+          ("loss", fun r -> Table.fpct r.loss31);
+          ("crashed", fun r -> Table.fi r.crashed31);
+          ("msgs", fun r -> Table.fi r.msgs31);
+          ("overhead", fun r -> Table.fi r.overhead31);
+          ("settle", fun r -> Table.ff r.settle31);
+          ("oracle", fun r -> if r.agrees31 then "agree" else "DISAGREE");
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E32                                                                 *)
@@ -2599,26 +2556,23 @@ let e32_flap_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
   in
   run ~recovery:false @ run ~recovery:true
 
-let print_e32 rows =
-  Table.print
-    ~title:
-      "E32: traffic delivery while links flap — recovery off vs on (detour \
-       installed across a refresh window)"
-    ~header:
-      [ "tick"; "recovery"; "phase"; "ok"; "stale"; "lost"; "looped" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.tick32;
-             Table.fb r.recovery32;
-             r.phase32;
-             Table.fpct r.ok32;
-             Table.fpct r.stale32;
-             Table.fpct r.lost32;
-             Table.fpct r.looped32;
-           ])
-         rows)
+let e32 =
+  {
+    id = "e32";
+    title = "E32 — traffic delivery while links flap";
+    describe = "traffic delivery while links flap, recovery off/on";
+    run =
+      tabulate (fun params -> e32_flap_traffic ~params ())
+        [
+          ("tick", fun r -> Table.fi r.tick32);
+          ("recovery", fun r -> Table.fb r.recovery32);
+          ("phase", fun r -> r.phase32);
+          ("ok", fun r -> Table.fpct r.ok32);
+          ("stale", fun r -> Table.fpct r.stale32);
+          ("lost", fun r -> Table.fpct r.lost32);
+          ("looped", fun r -> Table.fpct r.looped32);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E33                                                                 *)
@@ -2682,38 +2636,25 @@ let e33_shard_invariance ?(params = Internet.default_params)
       })
     shard_counts
 
-let print_e33 rows =
-  Table.print
-    ~title:
-      "E33: shard-count invariance — the domain pool's delivery verdicts on \
-       one seed, one to eight shards"
-    ~header:
-      [
-        "shards";
-        "packets";
-        "hops";
-        "bytes";
-        "delivered";
-        "dropped";
-        "ttl";
-        "crossings";
-        "identical";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.shards33;
-             Table.fi r.packets33;
-             Table.fi r.hops33;
-             Table.fi r.bytes33;
-             Table.fi r.delivered33;
-             Table.fi r.dropped33;
-             Table.fi r.ttl33;
-             Table.fi r.crossings33;
-             Table.fb r.identical33;
-           ])
-         rows)
+let e33 =
+  {
+    id = "e33";
+    title = "E33 — shard-count invariance of the multicore data plane";
+    describe = "shard-count invariance of the multicore data plane";
+    run =
+      tabulate (fun params -> e33_shard_invariance ~params ())
+        [
+          ("shards", fun r -> Table.fi r.shards33);
+          ("packets", fun r -> Table.fi r.packets33);
+          ("hops", fun r -> Table.fi r.hops33);
+          ("bytes", fun r -> Table.fi r.bytes33);
+          ("delivered", fun r -> Table.fi r.delivered33);
+          ("dropped", fun r -> Table.fi r.dropped33);
+          ("ttl", fun r -> Table.fi r.ttl33);
+          ("crossings", fun r -> Table.fi r.crossings33);
+          ("identical", fun r -> Table.fb r.identical33);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E34                                                                 *)
@@ -2750,31 +2691,25 @@ let e34_drill_catalog ?params ?(intensities = [ 1.0; 2.0 ]) () =
         intensities)
     Drillbook.catalog
 
-let fopt34 = function None -> "n/a" | Some f -> Table.ff f
+let fopt = function None -> "n/a" | Some f -> Table.ff f
 
-let print_e34 rows =
-  Table.print
-    ~title:
-      "E34: incident-drill catalog sweep — recovery metrics per drill and \
-       fault intensity (SLO pass at intensity 1 is asserted in tests)"
-    ~header:
-      [
-        "drill"; "intensity"; "detect s"; "reconverge s"; "blackhole s";
-        "stale"; "slo pass";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.drill34;
-             Table.ff r.intensity34;
-             fopt34 r.detection34;
-             fopt34 r.reconverge34;
-             Table.ff r.blackhole34;
-             Table.ff r.stale34;
-             Table.fb r.pass34;
-           ])
-         rows)
+let e34 =
+  {
+    id = "e34";
+    title = "E34 — incident-drill catalog sweep";
+    describe = "incident-drill catalog sweep (recovery SLOs)";
+    run =
+      tabulate (fun params -> e34_drill_catalog ~params ())
+        [
+          ("drill", fun r -> r.drill34);
+          ("intensity", fun r -> Table.ff r.intensity34);
+          ("detect s", fun r -> fopt r.detection34);
+          ("reconverge s", fun r -> fopt r.reconverge34);
+          ("blackhole s", fun r -> Table.ff r.blackhole34);
+          ("stale", fun r -> Table.ff r.stale34);
+          ("slo pass", fun r -> Table.fb r.pass34);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E35                                                                 *)
@@ -2814,24 +2749,21 @@ let e35_hijack_containment ?params ?(levels = [ 1; 2; 4; 8 ]) () =
       })
     levels
 
-let print_e35 rows =
-  Table.print
-    ~title:
-      "E35: hijack containment — delivery-to-rogue fraction vs IPvN \
-       deployment level (more members, less traffic the rogue attracts)"
-    ~header:
-      [ "deployed"; "hijack peak"; "hijack mean"; "ok in fault"; "reconverge s" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.deploy35;
-             Table.ff r.hijacked_peak35;
-             Table.ff r.hijacked_mean35;
-             Table.ff r.ok_fault35;
-             fopt34 r.reconverge35;
-           ])
-         rows)
+let e35 =
+  {
+    id = "e35";
+    title = "E35 — hijack containment vs deployment level";
+    describe = "hijack containment vs deployment level";
+    run =
+      tabulate (fun params -> e35_hijack_containment ~params ())
+        [
+          ("deployed", fun r -> Table.fi r.deploy35);
+          ("hijack peak", fun r -> Table.ff r.hijacked_peak35);
+          ("hijack mean", fun r -> Table.ff r.hijacked_mean35);
+          ("ok in fault", fun r -> Table.ff r.ok_fault35);
+          ("reconverge s", fun r -> fopt r.reconverge35);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E36                                                                 *)
@@ -2937,41 +2869,26 @@ let e36_overload_response ?(params = Internet.default_params)
       })
     loads
 
-let print_e36 rows =
-  Table.print
-    ~title:
-      "E36: overload response — goodput, queueing delay and loss vs offered \
-       load through the finite link queues (graceful degradation, not a \
-       cliff; control rides the reserve)"
-    ~header:
-      [
-        "load/tick";
-        "offered";
-        "goodput";
-        "frac";
-        "ctrl ok";
-        "queue drop";
-        "shed";
-        "delay";
-        "queue hw";
-        "bounded";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.load36;
-             Table.fi r.offered36;
-             Table.fi r.goodput36;
-             Table.ff r.goodput_frac36;
-             Table.ff r.ctrl_ok36;
-             Table.fi r.qdrop36;
-             Table.fi r.shed36;
-             Table.ff r.delay36;
-             Table.fi r.queued_hw36;
-             Table.fb r.bounded36;
-           ])
-         rows)
+let e36 =
+  {
+    id = "e36";
+    title = "E36 — overload response of the finite-queue data plane";
+    describe = "overload response: goodput/delay/loss vs offered load";
+    run =
+      tabulate (fun params -> e36_overload_response ~params ())
+        [
+          ("load/tick", fun r -> Table.fi r.load36);
+          ("offered", fun r -> Table.fi r.offered36);
+          ("goodput", fun r -> Table.fi r.goodput36);
+          ("frac", fun r -> Table.ff r.goodput_frac36);
+          ("ctrl ok", fun r -> Table.ff r.ctrl_ok36);
+          ("queue drop", fun r -> Table.fi r.qdrop36);
+          ("shed", fun r -> Table.fi r.shed36);
+          ("delay", fun r -> Table.ff r.delay36);
+          ("queue hw", fun r -> Table.fi r.queued_hw36);
+          ("bounded", fun r -> Table.fb r.bounded36);
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E37                                                                 *)
@@ -3037,34 +2954,31 @@ let e37_crash_recovery ?(params = Internet.default_params)
       row)
     shard_counts
 
-let print_e37 rows =
-  Table.print
-    ~title:
-      "E37: crash recovery — a worker dies mid-batch, the supervisor \
-       restarts it, and the delivery verdicts match a never-crashed run \
-       exactly (zero divergence, nothing shed)"
-    ~header:
-      [
-        "shards";
-        "restarts";
-        "rounds";
-        "delivered";
-        "dropped";
-        "ttl";
-        "shed";
-        "identical";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.shards37;
-             Table.fi r.restarts37;
-             Table.fi r.rounds37;
-             Table.fi r.delivered37;
-             Table.fi r.dropped37;
-             Table.fi r.ttl37;
-             Table.fi r.shed37;
-             Table.fb r.identical37;
-           ])
-         rows)
+let e37 =
+  {
+    id = "e37";
+    title = "E37 — shard crash, supervised restart, zero verdict divergence";
+    describe = "shard crash recovery: zero verdict divergence";
+    run =
+      tabulate (fun params -> e37_crash_recovery ~params ())
+        [
+          ("shards", fun r -> Table.fi r.shards37);
+          ("restarts", fun r -> Table.fi r.restarts37);
+          ("rounds", fun r -> Table.fi r.rounds37);
+          ("delivered", fun r -> Table.fi r.delivered37);
+          ("dropped", fun r -> Table.fi r.dropped37);
+          ("ttl", fun r -> Table.fi r.ttl37);
+          ("shed", fun r -> Table.fi r.shed37);
+          ("identical", fun r -> Table.fb r.identical37);
+        ];
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Registry                                                            *)
+
+let all =
+  [
+    e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16;
+    e17; e18; e19; e20; e21; e22; e23; e24; e25; e26; e27; e28; e29; e30; e31;
+    e32; e33; e34; e35; e36; e37;
+  ]

@@ -6,8 +6,9 @@
     Deterministic: two runs produce identical text. *)
 
 val generate : unit -> string
-(** The full report as markdown. Takes a few seconds (it runs all of
-    E1–E23). *)
+(** The full report as markdown: every entry of {!Scenario.figures}
+    and {!Experiments.all}, in order. Takes a few seconds (it runs all
+    of E1–E37). *)
 
 val write : path:string -> unit
 (** Render {!generate} to a file. *)

@@ -266,3 +266,12 @@ let pp_fig4 fmt rows =
       Format.fprintf fmt "%-20s %-8s %14d %8d %10b@." r.strategy r.egress_domain
         r.exposure_hops r.vn_hops r.delivered)
     rows
+
+let figures =
+  let render pp fig () = Format.asprintf "%a" pp (fig ()) in
+  [
+    (1, "Figure 1 — seamless spread of deployment", render pp_fig1 fig1);
+    (2, "Figure 2 — Option 2 anycast with default routes", render pp_fig2 fig2);
+    (3, "Figure 3 — egress selection with BGPv(N-1) import", render pp_fig3 fig3);
+    (4, "Figure 4 — advertising-by-proxy", render pp_fig4 fig4);
+  ]

@@ -68,3 +68,10 @@ type fig4_row = {
 
 val fig4 : unit -> fig4_row list
 val pp_fig4 : Format.formatter -> fig4_row list -> unit
+
+(** {1 Registry} *)
+
+val figures : (int * string * (unit -> string)) list
+(** Every figure once, in order, as [(n, title, render)]: [render ()]
+    runs the scenario and returns its table. The report, [evolvenet fig
+    N], [evolvenet all] and the bench harness all read this list. *)

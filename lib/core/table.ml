@@ -1,4 +1,12 @@
-let render ~header ~rows =
+type t = { header : string list; rows : string list list }
+
+let of_columns columns xs =
+  {
+    header = List.map fst columns;
+    rows = List.map (fun x -> List.map (fun (_, cell) -> cell x) columns) xs;
+  }
+
+let render { header; rows } =
   let all = header :: rows in
   let cols = List.fold_left (fun m r -> max m (List.length r)) 0 all in
   let width = Array.make cols 0 in
@@ -22,10 +30,17 @@ let render ~header ~rows =
   List.iter emit rows;
   Buffer.contents buf
 
-let print ~title ~header ~rows =
+(* the underline matches the title's width in characters, not bytes:
+   registry titles carry a UTF-8 em dash *)
+let utf8_length s =
+  String.fold_left
+    (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1)
+    0 s
+
+let print ~title t =
   print_endline title;
-  print_endline (String.make (String.length title) '=');
-  print_string (render ~header ~rows);
+  print_endline (String.make (utf8_length title) '=');
+  print_string (render t);
   print_newline ()
 
 let ff x =

@@ -1,11 +1,16 @@
 (** Plain-text table rendering for experiment output (the tables that
     generalize the paper's §3.2 figures; see EXPERIMENTS.md). *)
 
-val render : header:string list -> rows:string list list -> string
+type t = { header : string list; rows : string list list }
+
+val of_columns : (string * ('a -> string)) list -> 'a list -> t
+(** One column per [(header, cell)] pair; one row per value. *)
+
+val render : t -> string
 (** Columns are padded to their widest cell; a rule separates the
     header. *)
 
-val print : title:string -> header:string list -> rows:string list list -> unit
+val print : title:string -> t -> unit
 (** Render to stdout with an underlined title and a trailing blank
     line. *)
 

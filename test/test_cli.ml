@@ -67,6 +67,55 @@ let test_exp_list () =
     [ "e1"; "e33"; "e34"; "e35" ];
   check Alcotest.bool "describes the drill sweep" true (contains out "drill")
 
+(* --- `exp eN` prints the table RESULTS.md records ------------------- *)
+
+(* The report and `exp eN` render the same registry entry, so at
+   default flags the CLI must print RESULTS.md's heading and code block
+   for EN exactly. e8 and e18 build their own internets: their seed is
+   not the topology seed (a past CLI passed it through and printed
+   different numbers). *)
+let results_md =
+  lazy
+    (In_channel.with_open_bin
+       (Filename.concat
+          (Filename.dirname Sys.executable_name)
+          (Filename.concat ".." "RESULTS.md"))
+       In_channel.input_all)
+
+let index_from hay needle from =
+  let hl = String.length hay and nl = String.length needle in
+  let rec go i =
+    if i + nl > hl then Alcotest.failf "RESULTS.md lacks %S" needle
+    else if String.equal (String.sub hay i nl) needle then i
+    else go (i + 1)
+  in
+  go from
+
+(* (heading text, code-block body) of RESULTS.md's "### EN — ..." *)
+let results_entry id =
+  let doc = Lazy.force results_md in
+  let heading = "### " ^ String.uppercase_ascii id ^ " \xE2\x80\x94 " in
+  let start = index_from doc heading 0 in
+  let eol = String.index_from doc start '\n' in
+  let body = index_from doc "```\n" eol + 4 in
+  ( String.sub doc (start + 4) (eol - start - 4),
+    String.sub doc body (index_from doc "```" body - body) )
+
+let test_exp_matches_results id () =
+  let code, out = run_out ("exp " ^ id) in
+  check Alcotest.int "exit code" 0 code;
+  let title, table = results_entry id in
+  let rec until_blank = function
+    | [] | "" :: _ -> []
+    | l :: rest -> (l ^ "\n") :: until_blank rest
+  in
+  match String.split_on_char '\n' out with
+  | heading :: _underline :: rest ->
+      check Alcotest.string "title is the RESULTS.md heading" title heading;
+      check Alcotest.string "table is the RESULTS.md block" table
+        (String.concat "" (until_blank rest))
+  | _ -> Alcotest.fail "no titled table on stdout"
+
 let test_unknown_figure () =
   let code, msg = run "fig 99" in
   check Alcotest.int "exit code" 2 code;
@@ -382,6 +431,12 @@ let () =
           Alcotest.test_case "help exits 0" `Quick test_help_exits_zero;
           Alcotest.test_case "exp list" `Quick test_exp_list;
         ] );
+      ( "results",
+        List.map
+          (fun id ->
+            Alcotest.test_case (id ^ " matches RESULTS.md") `Quick
+              (test_exp_matches_results id))
+          [ "e8"; "e10"; "e18" ] );
       ( "drill",
         [
           Alcotest.test_case "unknown name exits 2" `Quick

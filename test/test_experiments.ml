@@ -1000,6 +1000,20 @@ let test_e37_deterministic () =
   check Alcotest.(list string) "e37 rows identical across runs" (run ())
     (run ())
 
+(* --- the registry ------------------------------------------------- *)
+
+(* Experiments.all lists e1, e2, ... in order, each titled "EN — ..."
+   (the report's headings and the CLI's names come from here) *)
+let test_registry_in_order () =
+  List.iteri
+    (fun i (e : E.spec) ->
+      let n = i + 1 in
+      check Alcotest.string "id" (Printf.sprintf "e%d" n) e.E.id;
+      let prefix = Printf.sprintf "E%d \xE2\x80\x94 " n in
+      check Alcotest.bool (e.E.id ^ " title names it") true
+        (String.starts_with ~prefix e.E.title))
+    E.all
+
 let () =
   Alcotest.run "experiments"
     [
@@ -1200,4 +1214,6 @@ let () =
           Alcotest.test_case "same seed, same rows" `Slow
             test_e37_deterministic;
         ] );
+      ( "registry",
+        [ Alcotest.test_case "e1..eN in order" `Quick test_registry_in_order ] );
     ]

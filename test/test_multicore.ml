@@ -306,26 +306,6 @@ let test_pool_verdicts_shard_invariant () =
         true (v = oracle))
     [ 1; 2; 3; 4; 8 ]
 
-(* CI runs the whole suite a second time with EVOLVENET_SHARDS=4, so
-   the oracle comparison below actually executes a parallel pool on
-   that pass; unset, a modest default still covers the ring path *)
-let test_pool_env_shard_count () =
-  let env, flows, pump = Lazy.force pool_fixture in
-  let shards =
-    match Sys.getenv_opt "EVOLVENET_SHARDS" with
-    | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
-    | None -> 2
-  in
-  let pool = Domainpool.create env ~shards ~seed:11L in
-  Domainpool.run pool flows;
-  let v = verdict (Domainpool.telemetry pool) in
-  Domainpool.close pool;
-  check Alcotest.bool
-    (Printf.sprintf "EVOLVENET_SHARDS=%d verdict equals the serial pump"
-       shards)
-    true
-    (v = verdict (Pump.telemetry pump))
-
 let test_pool_telemetry_accumulates () =
   (* two runs of the same batch double every counter, like the pump *)
   let env, flows, _ = Lazy.force pool_fixture in
@@ -546,8 +526,6 @@ let () =
             test_pool_one_shard_equals_pump;
           Alcotest.test_case "verdicts shard-invariant" `Quick
             test_pool_verdicts_shard_invariant;
-          Alcotest.test_case "env-selected shard count" `Quick
-            test_pool_env_shard_count;
           Alcotest.test_case "telemetry accumulates" `Quick
             test_pool_telemetry_accumulates;
         ] );

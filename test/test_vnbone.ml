@@ -475,49 +475,6 @@ let test_protocol_mode_journeys_deliver () =
     [ 9 (* participant *); 20 (* non-participant *) ]
 
 (* ------------------------------------------------------------------ *)
-(* Vn_fib: hop-by-hop vN forwarding from compiled tables              *)
-
-module Vn_fib = Vnbone.Vn_fib
-
-let test_vn_fib_walk_reaches_egress () =
-  let _, _, service = default_setup () in
-  let fabric = Fabric.build service in
-  let speaker = Bgpvn.create fabric in
-  ignore (Bgpvn.converge speaker);
-  let fib = Vn_fib.compile speaker in
-  Array.iter
-    (fun m ->
-      List.iter
-        (fun d ->
-          let dest = Bgpvn.Vn_domain d in
-          match (Vn_fib.walk fib ~from_:m dest, Bgpvn.route speaker ~at:m dest) with
-          | Ok path, Some r ->
-              check Alcotest.int "walk ends at the route's egress"
-                r.Bgpvn.egress
-                (List.nth path (List.length path - 1));
-              check Alcotest.int "walk starts at the source" m (List.hd path)
-          | Error e, _ -> Alcotest.fail ("walk failed: " ^ e)
-          | Ok _, None -> Alcotest.fail "walk succeeded without a route")
-        (Service.participants service))
-    (Fabric.members fabric)
-
-let test_vn_fib_sizes () =
-  let _, _, service = default_setup () in
-  let fabric = Fabric.build service in
-  let speaker = Bgpvn.create fabric in
-  ignore (Bgpvn.converge speaker);
-  let fib = Vn_fib.compile speaker in
-  Array.iter
-    (fun m ->
-      check Alcotest.int "one entry per aggregate"
-        (List.length (Service.participants service))
-        (Vn_fib.size fib ~at:m))
-    (Fabric.members fabric);
-  Alcotest.check_raises "non-member rejected"
-    (Invalid_argument "Vn_fib: router is not a vN-Bone member") (fun () ->
-      ignore (Vn_fib.size fib ~at:999999))
-
-(* ------------------------------------------------------------------ *)
 (* Transport                                                           *)
 
 let test_vn_addresses () =
@@ -815,9 +772,6 @@ let () =
             test_bgpvn_survives_member_failures;
           Alcotest.test_case "protocol-mode journeys" `Quick
             test_protocol_mode_journeys_deliver;
-          Alcotest.test_case "vn-fib walk reaches egress" `Quick
-            test_vn_fib_walk_reaches_egress;
-          Alcotest.test_case "vn-fib sizes" `Quick test_vn_fib_sizes;
         ] );
       ( "transport",
         [

@@ -69,12 +69,12 @@ let rules =
        'Section'). Provenance: CLAUDE.md conventions ('doc comments tying \
        it to the paper section it implements')." );
     ( "experiment-artifacts",
-      "Every experiment eN defined in lib/core/experiments.ml must ship all \
-       seven artifacts: a typed row record (eN_row), a print_eN, a CLI hook \
-       in bin/evolvenet.ml, a bench hook in bench/main.ml, a Report \
-       section (\"EN — ...\"), an EXPERIMENTS.md entry (\"## EN\") and a \
+      "Every experiment eN defined in lib/core/experiments.ml must ship a \
+       typed row record (eN_row), an entry in the registry \
+       Experiments.all (from which the report, the CLI and the bench \
+       harness are derived), an EXPERIMENTS.md entry (\"## EN\") and a \
        shape-asserting suite (\"eN\") in test/test_experiments.ml. \
-       Provenance: CLAUDE.md seven-artifact rule." );
+       Provenance: CLAUDE.md experiment rule." );
     ( "parse-error",
       "Every .ml/.mli in lib/, bin/, bench/ and test/ and every lib/*/dune \
        must parse; the other rules are only as good as the parse." );
@@ -834,32 +834,20 @@ let check_mli_doc ~path src =
 
 type exp_sources = {
   experiments_ml : string * string;
-  bin_ml : string * string;
-  bench_ml : string * string;
-  report_ml : string * string;
   test_ml : string * string;
   experiments_md : string * string;
 }
 
-(* "e<digits>_<rest>" -> Some digits *)
+(* "e<digits>_<rest>" (an experiment function) or "e<digits>" (its
+   registry entry) -> Some digits *)
 let exp_num_of_name name =
   let n = String.length name in
   if n < 2 || name.[0] <> 'e' then None
   else
     let rec digits i = if i < n && is_digit name.[i] then digits (i + 1) else i in
     let stop = digits 1 in
-    if stop = 1 || stop >= n || name.[stop] <> '_' then None
+    if stop = 1 || (stop < n && name.[stop] <> '_') then None
     else int_of_string_opt (String.sub name 1 (stop - 1))
-
-let prefixed_num ~prefix name =
-  let pl = String.length prefix in
-  if
-    String.length name > pl
-    && String.sub name 0 pl = prefix
-    && String.for_all is_digit
-         (String.sub name pl (String.length name - pl))
-  then int_of_string_opt (String.sub name pl (String.length name - pl))
-  else None
 
 (* All string constants in expressions and patterns, plus every
    referenced identifier's flattened path. *)
@@ -898,13 +886,11 @@ let check_experiments ~allow sources =
   match parse_impl ~filename:exp_path exp_src with
   | Error d -> [ d ]
   | Ok structure ->
-      (* inventory of experiments.ml: row types, value bindings *)
+      (* inventory of experiments.ml: row types, eN_* functions, eN
+         registry entries and what the registry `all` names *)
       let row_types = Hashtbl.create 32 in
-      let values = Hashtbl.create 64 in
+      let registry = ref None in
       let exp_line : (int, int) Hashtbl.t = Hashtbl.create 32 in
-      let note_line n line =
-        if not (Hashtbl.mem exp_line n) then Hashtbl.replace exp_line n line
-      in
       List.iter
         (fun (item : Parsetree.structure_item) ->
           match item.pstr_desc with
@@ -917,15 +903,14 @@ let check_experiments ~allow sources =
               List.iter
                 (fun (vb : Parsetree.value_binding) ->
                   match vb.pvb_pat.ppat_desc with
-                  | Ppat_var { txt; _ } ->
-                      Hashtbl.replace values txt ();
-                      let line = fst (loc_pos vb.pvb_loc) in
-                      (match exp_num_of_name txt with
-                      | Some n -> note_line n line
-                      | None -> (
-                          match prefixed_num ~prefix:"print_e" txt with
-                          | Some n -> note_line n line
-                          | None -> ()))
+                  | Ppat_var { txt = "all"; _ } ->
+                      registry := Some (scan_impl [ item ])
+                  | Ppat_var { txt; _ } -> (
+                      match exp_num_of_name txt with
+                      | Some n when not (Hashtbl.mem exp_line n) ->
+                          Hashtbl.replace exp_line n
+                            (fst (loc_pos vb.pvb_loc))
+                      | _ -> ())
                   | _ -> ())
                 vbs
           | _ -> ())
@@ -934,42 +919,28 @@ let check_experiments ~allow sources =
         List.sort_uniq compare
           (Hashtbl.fold (fun n _ acc -> n :: acc) exp_line [])
       in
-      let scan (path, src) =
-        match parse_impl ~filename:path src with
-        | Error d -> Error d
-        | Ok s -> Ok (scan_impl s)
+      (* a registry entry is named by its binding (`e1`) or, written
+         inline, by its id string ("e1") *)
+      let registered n =
+        match !registry with
+        | None -> false
+        | Some (strings, idents) ->
+            let id = Printf.sprintf "e%d" n in
+            Hashtbl.mem idents id || Hashtbl.mem strings id
       in
-      let parse_diags = ref [] in
-      let scan_opt src =
-        match scan src with
-        | Error d ->
-            parse_diags := d :: !parse_diags;
-            None
-        | Ok x -> Some x
+      let test_path, test_src = sources.test_ml in
+      let parse_diags, test_strings =
+        match parse_impl ~filename:test_path test_src with
+        | Error d -> ([ d ], None)
+        | Ok s -> ([], Some (fst (scan_impl s)))
       in
-      let bin = scan_opt sources.bin_ml in
-      let bench = scan_opt sources.bench_ml in
-      let report = scan_opt sources.report_ml in
-      let test = scan_opt sources.test_ml in
-      let md_lines = split_lines (snd sources.experiments_md) in
-      let has_string scanned s =
-        match scanned with
+      let has_suite n =
+        match test_strings with
         | None -> true (* parse error already reported; don't cascade *)
-        | Some (strings, _) -> Hashtbl.mem strings s
+        | Some strings -> Hashtbl.mem strings (Printf.sprintf "e%d" n)
       in
-      let string_with_word scanned w =
-        match scanned with
-        | None -> true
-        | Some (strings, _) ->
-            Hashtbl.fold
-              (fun s () acc -> acc || has_word s w)
-              strings false
-      in
-      let has_ident scanned i =
-        match scanned with
-        | None -> true
-        | Some (_, idents) -> Hashtbl.mem idents i
-      in
+      let md_path, md_src = sources.experiments_md in
+      let md_lines = split_lines md_src in
       let md_has_entry n =
         List.exists
           (fun line ->
@@ -986,29 +957,17 @@ let check_experiments ~allow sources =
                 ( "row",
                   Hashtbl.mem row_types (Printf.sprintf "e%d_row" n),
                   Printf.sprintf "no `e%d_row` record type in %s" n exp_path );
-                ( "print",
-                  Hashtbl.mem values (Printf.sprintf "print_e%d" n),
-                  Printf.sprintf "no `print_e%d` in %s" n exp_path );
-                ( "cli",
-                  has_string bin (Printf.sprintf "e%d" n),
-                  Printf.sprintf "no \"e%d\" CLI hook in %s" n
-                    (fst sources.bin_ml) );
-                ( "bench",
-                  has_ident bench (Printf.sprintf "print_e%d" n),
-                  Printf.sprintf "no print_e%d bench hook in %s" n
-                    (fst sources.bench_ml) );
-                ( "report",
-                  string_with_word report (Printf.sprintf "E%d" n),
-                  Printf.sprintf "no \"E%d — ...\" section in %s" n
-                    (fst sources.report_ml) );
+                ( "registry",
+                  registered n,
+                  Printf.sprintf "`e%d` is not registered in `all` in %s" n
+                    exp_path );
                 ( "docs",
                   md_has_entry n,
-                  Printf.sprintf "no \"## E%d\" entry in %s" n
-                    (fst sources.experiments_md) );
+                  Printf.sprintf "no \"## E%d\" entry in %s" n md_path );
                 ( "test",
-                  has_string test (Printf.sprintf "e%d" n),
+                  has_suite n,
                   Printf.sprintf "no \"e%d\" shape-test suite in %s" n
-                    (fst sources.test_ml) );
+                    test_path );
               ]
             in
             List.filter_map
@@ -1023,8 +982,7 @@ let check_experiments ~allow sources =
                   else
                     Some
                       (diag ~file:exp_path
-                         ~line:(Option.value (Hashtbl.find_opt exp_line n)
-                                  ~default:1)
+                         ~line:(Hashtbl.find exp_line n)
                          ~rule:"experiment-artifacts"
                          (Printf.sprintf
                             "e%d is missing its %s artifact: %s (allowlist \
@@ -1033,7 +991,7 @@ let check_experiments ~allow sources =
               checks)
           ids
       in
-      List.rev !parse_diags @ missing
+      parse_diags @ missing
 
 (* ------------------------------------------------------------------ *)
 (* Output formats                                                      *)
@@ -1320,24 +1278,11 @@ let run_untyped ~root ~allow =
   in
   (match
      ( source "lib/core/experiments.ml",
-       source "bin/evolvenet.ml",
-       source "bench/main.ml",
-       source "lib/core/report.ml",
        source "test/test_experiments.ml",
        source "EXPERIMENTS.md" )
    with
-  | Some experiments_ml, Some bin_ml, Some bench_ml, Some report_ml,
-    Some test_ml, Some experiments_md ->
-      add
-        (check_experiments ~allow
-           {
-             experiments_ml;
-             bin_ml;
-             bench_ml;
-             report_ml;
-             test_ml;
-             experiments_md;
-           })
+  | Some experiments_ml, Some test_ml, Some experiments_md ->
+      add (check_experiments ~allow { experiments_ml; test_ml; experiments_md })
   | _ -> ());
   List.sort compare_diag !diags
 
