@@ -186,7 +186,7 @@ let step t =
         | Some cur when not (better r cur) -> ()
         | _ -> Hashtbl.replace best r.prefix r)
       candidates.(d);
-    let rib = Hashtbl.fold (fun p r acc -> Lpm.add p r acc) best Lpm.empty in
+    let rib = Lpm.of_list (Hashtbl.fold (fun p r acc -> (p, r) :: acc) best []) in
     let same =
       Lpm.cardinal rib = Lpm.cardinal snapshot.(d)
       && Lpm.fold

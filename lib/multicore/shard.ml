@@ -46,7 +46,7 @@ type t = {
   hi : int;
   map : Shardmap.t;
   tables : Fib.action Lpm.t array;
-      (* shared read-only snapshots — Lpm is persistent, safe across domains *)
+      (* shared read-only snapshots — Lpm tables are immutable, safe across domains *)
   caches : Fib.action Flowcache.t array; (* own block only, index [r - lo] *)
   telemetry : Telemetry.t;
   rng : Rng.t; (* per-shard stream, split from the pool seed *)

@@ -2,66 +2,50 @@ let format_version = 1
 
 (* --- encoding ------------------------------------------------------ *)
 
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
+(* Top-level writers into one buffer of exactly wire_length bytes. Each
+   takes the buffer and an offset and returns nothing or the next
+   offset, so encode builds no closure and its only allocation is the
+   packet's own bytes (hot-path-alloc). Every byte goes through put8,
+   whose guard is the bounds proof for its unsafe write; it can fire
+   only if wire_length and the writers disagree. *)
 
-let put_u16 buf v =
-  put_u8 buf (v lsr 8);
-  put_u8 buf v
+let put8 b i v =
+  if i < 0 || i >= Bytes.length b then invalid_arg "Wire.encode: write past wire_length";
+  Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xFF))
 
-let put_u32 buf v =
-  put_u16 buf (v lsr 16);
-  put_u16 buf v
+let put16 b i v =
+  put8 b i (v lsr 8);
+  put8 b (i + 1) v
 
-let put_ipv4 buf a = put_u32 buf (Ipv4.to_int a)
+let put32 b i v =
+  put16 b i (v lsr 16);
+  put16 b (i + 2) v
 
-let put_body buf body =
+let put_body b i body =
   if String.length body > 0xFFFF then
     invalid_arg "Wire.encode: body exceeds 65535 bytes";
-  put_u16 buf (String.length body);
-  Buffer.add_string buf body
+  let n = String.length body in
+  put16 b i n;
+  Bytes.blit_string body 0 b (i + 2) n
 
 (* Uses the raw accessors, not the option-returning ones: encode runs
    once per injected packet, and the self/provider split is total on
    the bit layout, so nothing needs an option here (hot-path-alloc). *)
-let put_ipvn buf a =
+let put_ipvn b i a =
   if Ipvn.is_self a then begin
-    put_u8 buf 0;
-    put_ipv4 buf (Ipvn.raw_ipv4 a)
+    put8 b i 0;
+    put32 b (i + 1) (Ipv4.to_int (Ipvn.raw_ipv4 a));
+    i + 5
   end
   else begin
-    put_u8 buf 1;
-    put_u32 buf (Ipvn.raw_domain a);
-    put_u32 buf (Ipvn.raw_host a)
+    put8 b i 1;
+    put32 b (i + 1) (Ipvn.raw_domain a);
+    put32 b (i + 5) (Ipvn.raw_host a);
+    i + 9
   end
 
 let check_ttl ttl =
   if ttl < 0 || ttl > 255 then invalid_arg "Wire.encode: TTL out of [0, 255]"
-
-let encode (p : Packet.t) =
-  check_ttl p.Packet.ttl;
-  let buf = Buffer.create 64 in
-  put_u8 buf format_version;
-  (match p.Packet.payload with
-  | Packet.Data _ -> put_u8 buf 0
-  | Packet.Encap _ -> put_u8 buf 1);
-  put_ipv4 buf p.Packet.src;
-  put_ipv4 buf p.Packet.dst;
-  put_u8 buf p.Packet.ttl;
-  (match p.Packet.payload with
-  | Packet.Data body -> put_body buf body
-  | Packet.Encap vn ->
-      check_ttl vn.Packet.vttl;
-      put_u8 buf vn.Packet.version;
-      put_u8 buf vn.Packet.vttl;
-      put_ipvn buf vn.Packet.vsrc;
-      put_ipvn buf vn.Packet.vdst;
-      (match vn.Packet.dest_v4_hint with
-      | Some a ->
-          put_u8 buf 1;
-          put_ipv4 buf a
-      | None -> put_u8 buf 0);
-      put_body buf vn.Packet.body);
-  Buffer.contents buf
 
 (* --- decoding ------------------------------------------------------ *)
 
@@ -183,6 +167,40 @@ let wire_length (p : Packet.t) =
       + (match vn.Packet.dest_v4_hint with Some _ -> 5 | None -> 1)
       + 2
       + String.length vn.Packet.body
+
+(* One allocation per packet: the buffer is sized by wire_length up
+   front and handed out as the string without a copy, since nothing
+   else holds it. *)
+let encode (p : Packet.t) =
+  check_ttl p.Packet.ttl;
+  let b = Bytes.create (wire_length p) in
+  put8 b 0 format_version;
+  put32 b 2 (Ipv4.to_int p.Packet.src);
+  put32 b 6 (Ipv4.to_int p.Packet.dst);
+  put8 b 10 p.Packet.ttl;
+  (match p.Packet.payload with
+  | Packet.Data body ->
+      put8 b 1 0;
+      put_body b 11 body
+  | Packet.Encap vn ->
+      check_ttl vn.Packet.vttl;
+      put8 b 1 1;
+      put8 b 11 vn.Packet.version;
+      put8 b 12 vn.Packet.vttl;
+      let i = put_ipvn b 13 vn.Packet.vsrc in
+      let i = put_ipvn b i vn.Packet.vdst in
+      let i =
+        match vn.Packet.dest_v4_hint with
+        | Some a ->
+            put8 b i 1;
+            put32 b (i + 1) (Ipv4.to_int a);
+            i + 5
+        | None ->
+            put8 b i 0;
+            i + 1
+      in
+      put_body b i vn.Packet.body);
+  Bytes.unsafe_to_string b
 
 (* --- arena views ---------------------------------------------------- *)
 
@@ -311,9 +329,12 @@ let big_u32 (b : Arena.buf) i =
   lor (Char.code (Bigarray.Array1.unsafe_get b (i + 2)) lsl 8)
   lor Char.code (Bigarray.Array1.unsafe_get b (i + 3))
 
+(* The bounds are stated as [len <= dim - off], not [off + len <= dim]:
+   with [off >= 0] the difference cannot overflow, where the sum can
+   wrap negative for a view near max_int and pass the check. *)
 let big_peek_ok (b : Arena.buf) ~off ~len =
   len >= header_bytes && off >= 0
-  && off + len <= Bigarray.Array1.dim b
+  && len <= Bigarray.Array1.dim b - off
   && Char.code (Bigarray.Array1.unsafe_get b off) = format_version
 
 let peek_dst_big b ~off ~len ~default =
@@ -325,9 +346,10 @@ let peek_ttl_big b ~off ~len ~default =
   else default
 
 let decode_big b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bigarray.Array1.dim b then
+  if off < 0 || len < 0 || len > Bigarray.Array1.dim b - off then
     Error "view out of bounds"
   else
     (* the guard above is the proof: off >= 0, len >= 0 and
-       off + len <= dim, and String.init keeps i < len *)
+       off + len <= dim (stated without the sum, which could wrap),
+       and String.init keeps i < len *)
     decode (String.init len (fun i -> Bigarray.Array1.unsafe_get b (off + i)))

@@ -19,8 +19,10 @@ let compile (env : Forward.env) =
         let router = Internet.router inet r in
         let d = router.Internet.rdomain in
         let igp = env.Forward.igps.(d) in
-        let table = ref Lpm.empty in
-        let add p a = table := Lpm.add p a !table in
+        (* entries in install order, newest first; Lpm.of_list keeps
+           the last binding of a repeated prefix *)
+        let entries = ref [] in
+        let add p a = entries := (p, a) :: !entries in
         (* 1. inter-domain routes (most generic; overwritten by
            longer/equal local entries below) *)
         List.iter
@@ -70,7 +72,7 @@ let compile (env : Forward.env) =
               | Some nh -> add (host_prefix h.Internet.haddr) (Next_hop nh)
               | None -> ())
           (Internet.domain inet d).Internet.endhost_ids;
-        !table)
+        Lpm.of_list (List.rev !entries))
   in
   { tables }
 

@@ -32,7 +32,9 @@ val lookup : t -> router:int -> Netcore.Ipv4.t -> action option
 
 val table : t -> router:int -> action Netcore.Lpm.t
 (** One router's compiled table — the line-card view a data-plane
-    engine forwards against (and caches in front of). *)
+    engine forwards against (and caches in front of). {!compile} builds
+    it in one {!Netcore.Lpm.of_list}; it is immutable, so shards may
+    share it, and a lookup is one binary search over its ranges. *)
 
 val action_equal : action -> action -> bool
 (** Structural equality on forwarding actions; the hook cache layers

@@ -155,9 +155,9 @@ let prop_lpm_remove =
                table)
 
 (* Random interleaved add/remove/lookup sequences, checked op by op
-   against a naive assoc-list model — exercises trie restructuring
-   paths (branch collapse on remove, re-split on add) that the
-   single-shot of_list properties above never reach. *)
+   against a naive assoc-list model — exercises the incremental
+   add/remove rebuilds that the single-shot of_list properties above
+   never reach. *)
 
 type lpm_op = Op_add of Prefix.t * int | Op_remove of Prefix.t | Op_probe of Ipv4.t
 
@@ -252,6 +252,287 @@ let test_lpm_fold_reconstructs_prefixes () =
       check Alcotest.bool (Prefix.to_string p) true
         (List.exists (Prefix.equal p) got))
     ps
+
+(* The reference: Lpm's original uncompressed bit trie, kept verbatim
+   as an oracle. Every observable of the range-table Lpm — lookups,
+   exact finds, cardinal, bindings and fold visit order — must equal
+   this trie's on the same input. *)
+module Ref_trie = struct
+  (* A plain (non-compressed) binary trie over address bits. Depth is
+     bounded by 32, so the lack of path compression costs little and keeps
+     the structure easy to verify. *)
+
+  type 'a t = Leaf | Node of 'a node
+  and 'a node = { value : 'a option; zero : 'a t; one : 'a t }
+
+  let empty = Leaf
+
+  let is_node_empty = function
+    | { value = None; zero = Leaf; one = Leaf } -> true
+    | _ -> false
+
+  let node value zero one =
+    let n = { value; zero; one } in
+    if is_node_empty n then Leaf else Node n
+
+  let is_empty = function Leaf -> true | Node _ -> false
+
+  let rec add_bits net depth len v t =
+    match t with
+    | Leaf ->
+        if depth = len then node (Some v) Leaf Leaf
+        else if Ipv4.bit net depth then node None Leaf (add_bits net (depth + 1) len v Leaf)
+        else node None (add_bits net (depth + 1) len v Leaf) Leaf
+    | Node n ->
+        if depth = len then node (Some v) n.zero n.one
+        else if Ipv4.bit net depth then
+          node n.value n.zero (add_bits net (depth + 1) len v n.one)
+        else node n.value (add_bits net (depth + 1) len v n.zero) n.one
+
+  let add p v t = add_bits (Prefix.network p) 0 (Prefix.length p) v t
+
+  let rec remove_bits net depth len t =
+    match t with
+    | Leaf -> Leaf
+    | Node n ->
+        if depth = len then node None n.zero n.one
+        else if Ipv4.bit net depth then
+          node n.value n.zero (remove_bits net (depth + 1) len n.one)
+        else node n.value (remove_bits net (depth + 1) len n.zero) n.one
+
+  let remove p t = remove_bits (Prefix.network p) 0 (Prefix.length p) t
+
+  let rec find_exact_bits net depth len t =
+    match t with
+    | Leaf -> None
+    | Node n ->
+        if depth = len then n.value
+        else if Ipv4.bit net depth then find_exact_bits net (depth + 1) len n.one
+        else find_exact_bits net (depth + 1) len n.zero
+
+  let find_exact p t = find_exact_bits (Prefix.network p) 0 (Prefix.length p) t
+
+  let lookup addr t =
+    let rec go depth t best =
+      match t with
+      | Leaf -> best
+      | Node n ->
+          let best =
+            match n.value with
+            | Some v -> Some (Prefix.make addr depth, v)
+            | None -> best
+          in
+          if depth = 32 then best
+          else if Ipv4.bit addr depth then go (depth + 1) n.one best
+          else go (depth + 1) n.zero best
+    in
+    go 0 t None
+
+  (* The per-packet lookup: unlike [lookup] it never builds a prefix, and
+     it returns the [Some] stored in the matching node, so a hit allocates
+     nothing. The address threads through as an argument to keep the loop
+     capture-free (hot-path-alloc). *)
+  let rec lookup_value_bits addr depth t best =
+    match t with
+    | Leaf -> best
+    | Node n ->
+        let best = match n.value with Some _ as v -> v | None -> best in
+        if depth = 32 then best
+        else if Ipv4.bit addr depth then lookup_value_bits addr (depth + 1) n.one best
+        else lookup_value_bits addr (depth + 1) n.zero best
+
+  let lookup_value addr t = lookup_value_bits addr 0 t None
+
+  let fold f t acc =
+    (* [path] is the address bits accumulated so far (as an int shifted to
+       the high end), [depth] their count. *)
+    let rec go path depth t acc =
+      match t with
+      | Leaf -> acc
+      | Node n ->
+          let acc =
+            match n.value with
+            | Some v -> f (Prefix.make (Ipv4.of_int path) depth) v acc
+            | None -> acc
+          in
+          let acc = go path (depth + 1) n.zero acc in
+          go (path lor (1 lsl (31 - depth))) (depth + 1) n.one acc
+    in
+    go 0 0 t acc
+
+  let iter f t = fold (fun p v () -> f p v) t ()
+
+  let bindings t =
+    fold (fun p v acc -> (p, v) :: acc) t []
+    |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
+
+  let cardinal t = fold (fun _ _ n -> n + 1) t 0
+  let of_list l = List.fold_left (fun t (p, v) -> add p v t) empty l
+
+  let rec map f = function
+    | Leaf -> Leaf
+    | Node n ->
+        Node { value = Option.map f n.value; zero = map f n.zero; one = map f n.one }
+
+  let union f a b =
+    fold
+      (fun p vb acc ->
+        match find_exact p acc with
+        | None -> add p vb acc
+        | Some va -> add p (f p va vb) acc)
+      b a
+end
+
+let gen_addr =
+  QCheck.Gen.(
+    map2 (fun hi lo -> Ipv4.of_int ((hi lsl 16) lor lo)) (int_bound 0xFFFF) (int_bound 0xFFFF))
+
+(* /0 and /32 are the edges of the address space, so they get extra
+   weight beside the uniform lengths. *)
+let gen_len = QCheck.Gen.(frequency [ (1, return 0); (3, return 32); (8, int_bound 32) ])
+
+(* Most prefixes grow from a handful of anchor addresses that differ in
+   a few bits, so tables hold nested chains, siblings and repeats; the
+   rest are uniform. *)
+let gen_oracle_prefix anchors =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map2
+            (fun i len -> Prefix.make anchors.(i) len)
+            (int_bound (Array.length anchors - 1))
+            gen_len );
+        (1, map2 Prefix.make gen_addr gen_len);
+      ])
+
+let gen_anchors =
+  QCheck.Gen.(
+    let* base = gen_addr in
+    array_size (int_range 1 4)
+      (map2
+         (fun k shift -> Ipv4.of_int (Ipv4.to_int base lxor (k lsl shift)))
+         (int_bound 7) (int_bound 31)))
+
+(* Values are list positions, so which of two repeated prefixes won is
+   visible in every observable. *)
+let gen_oracle_table =
+  QCheck.Gen.(
+    let* anchors = gen_anchors in
+    list_size (int_bound 40) (gen_oracle_prefix anchors) >|= List.mapi (fun i p -> (p, i)))
+
+let print_table l =
+  String.concat "; "
+    (List.map (fun (p, v) -> Printf.sprintf "%s=%d" (Prefix.to_string p) v) l)
+
+(* For each bound prefix: its first and last address, one past its end
+   and one before its start (both mod 2^32), plus the two ends of the
+   space. *)
+let oracle_probes keys =
+  List.concat_map
+    (fun p ->
+      let first = Ipv4.to_int (Prefix.network p) in
+      let last = first + Prefix.size p - 1 in
+      List.map Ipv4.of_int [ first; last; last + 1; first - 1 ])
+    keys
+  @ [ Ipv4.any; Ipv4.broadcast ]
+
+(* Each bound prefix and its unbound-or-not parent and child. *)
+let oracle_exact_keys keys =
+  List.concat_map
+    (fun p ->
+      let len = Prefix.length p and net = Prefix.network p in
+      (p :: (if len > 0 then [ Prefix.make net (len - 1) ] else []))
+      @ if len < 32 then [ Prefix.make net (len + 1) ] else [])
+    keys
+
+let agrees_with_ref t r ~keys =
+  let visit fold x = fold (fun p v acc -> (p, v) :: acc) x [] in
+  let iter_visit iter x =
+    let acc = ref [] in
+    iter (fun p v -> acc := (p, v) :: !acc) x;
+    !acc
+  in
+  Lpm.is_empty t = Ref_trie.is_empty r
+  && Lpm.cardinal t = Ref_trie.cardinal r
+  && Lpm.bindings t = Ref_trie.bindings r
+  && visit Lpm.fold t = visit Ref_trie.fold r
+  && iter_visit Lpm.iter t = iter_visit Ref_trie.iter r
+  && List.for_all
+       (fun a ->
+         Lpm.lookup a t = Ref_trie.lookup a r
+         && Lpm.lookup_value a t = Ref_trie.lookup_value a r)
+       (oracle_probes keys)
+  && List.for_all
+       (fun p -> Lpm.find_exact p t = Ref_trie.find_exact p r)
+       (oracle_exact_keys keys)
+
+let prop_lpm_of_list_ref =
+  QCheck.Test.make ~name:"of_list = reference trie" ~count:500
+    (QCheck.make ~print:print_table gen_oracle_table) (fun l ->
+      agrees_with_ref (Lpm.of_list l) (Ref_trie.of_list l) ~keys:(List.map fst l))
+
+let prop_lpm_union_map_ref =
+  QCheck.Test.make ~name:"union and map = reference trie" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b) -> print_table a ^ " | " ^ print_table b)
+       QCheck.Gen.(
+         let* anchors = gen_anchors in
+         let table =
+           list_size (int_bound 20) (gen_oracle_prefix anchors)
+           >|= List.mapi (fun i p -> (p, i))
+         in
+         pair table table))
+    (fun (a, b) ->
+      let f p x y = (x * 1000) + y + Prefix.length p in
+      let keys = List.map fst (a @ b) in
+      agrees_with_ref
+        (Lpm.union f (Lpm.of_list a) (Lpm.of_list b))
+        (Ref_trie.union f (Ref_trie.of_list a) (Ref_trie.of_list b))
+        ~keys
+      && agrees_with_ref
+           (Lpm.map (fun v -> (2 * v) + 1) (Lpm.of_list a))
+           (Ref_trie.map (fun v -> (2 * v) + 1) (Ref_trie.of_list a))
+           ~keys)
+
+(* Interleaved add/remove, compared with the reference after every op
+   on everything bound so far. *)
+let prop_lpm_ops_ref =
+  QCheck.Test.make ~name:"add/remove sequence = reference trie" ~count:200
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map
+              (function
+                | Some (p, v) -> Printf.sprintf "add %s=%d" (Prefix.to_string p) v
+                | None -> "remove-first")
+              ops))
+       QCheck.Gen.(
+         let* anchors = gen_anchors in
+         list_size (int_bound 50)
+           (frequency
+              [
+                (3, map2 (fun p v -> Some (p, v)) (gen_oracle_prefix anchors) (int_bound 1000));
+                (1, return None);
+              ])))
+    (fun ops ->
+      (* a remove targets the oldest prefix added so far, so it usually
+         hits a bound prefix; on an empty history it removes 0/0 *)
+      let step (t, r, seen, ok) op =
+        let t, r, seen =
+          match op with
+          | Some (p, v) -> (Lpm.add p v t, Ref_trie.add p v r, seen @ [ p ])
+          | None ->
+              let p =
+                match seen with [] -> Prefix.make Ipv4.any 0 | p :: _ -> p
+              in
+              let rest = match seen with [] -> [] | _ :: s -> s in
+              (Lpm.remove p t, Ref_trie.remove p r, rest @ [ p ])
+        in
+        (t, r, seen, ok && agrees_with_ref t r ~keys:seen)
+      in
+      let _, _, _, ok = List.fold_left step (Lpm.empty, Ref_trie.empty, [], true) ops in
+      ok)
 
 (* ------------------------------------------------------------------ *)
 (* Ipvn                                                                *)
@@ -415,6 +696,68 @@ let prop_wire_decode_total =
     (fun s ->
       match Wire.decode s with Ok _ -> true | Error _ -> true)
 
+(* Differential fuzz of the two decoders: the heap decoder on a string
+   and the arena decoder on the same bytes blitted into a slab at a
+   nonzero offset, between filler bytes, so a read outside the view
+   shows up as a disagreement. *)
+
+module Arena = Netcore.Arena
+
+let decode_view ~off s =
+  let len = String.length s in
+  let arena = Arena.create ~bytes:(off + len + 4) in
+  let buf = Arena.buf arena in
+  Bigarray.Array1.fill buf '\xA5';
+  String.iteri (fun i c -> Bigarray.Array1.set buf (off + i) c) s;
+  Wire.decode_big buf ~off ~len
+
+let decoders_agree ~off s = Wire.decode s = decode_view ~off s
+
+(* Half the inputs start with a valid version and kind byte, so the
+   fuzz reaches past the first two checks. *)
+let arbitrary_wire_bytes =
+  QCheck.make ~print:(fun (off, s) -> Printf.sprintf "off %d, %S" off s)
+    QCheck.Gen.(
+      pair (int_range 1 16)
+        (let* tail = string_size ~gen:char (int_bound 60) in
+         let* headed = bool in
+         let* kind = int_bound 1 in
+         return (if headed then String.make 1 '\001' ^ String.make 1 (Char.chr kind) ^ tail
+                 else tail)))
+
+let prop_wire_decoders_agree_bytes =
+  QCheck.Test.make ~name:"decode = decode_big on arbitrary bytes" ~count:1000
+    arbitrary_wire_bytes (fun (off, s) -> decoders_agree ~off s)
+
+let prop_wire_decoders_agree_truncations =
+  QCheck.Test.make ~name:"decode = decode_big on truncations and a trailing byte"
+    ~count:100
+    QCheck.(pair (int_range 1 16) arbitrary_packet)
+    (fun (off, p) ->
+      let s = Wire.encode p in
+      decoders_agree ~off (s ^ "\x00")
+      && List.for_all
+           (fun n -> decoders_agree ~off (String.sub s 0 n))
+           (List.init (String.length s + 1) Fun.id))
+
+let test_wire_decode_big_out_of_range () =
+  let arena = Arena.create ~bytes:64 in
+  let buf = Arena.buf arena in
+  ignore (Wire.encode_into (Packet.make_data ~src:Ipv4.any ~dst:Ipv4.broadcast "x") arena : int);
+  List.iter
+    (fun (off, len) ->
+      check Alcotest.bool
+        (Printf.sprintf "view (%d, %d)" off len)
+        true
+        (Result.is_error (Wire.decode_big buf ~off ~len)
+        && Ipv4.equal
+             (Wire.peek_dst_big buf ~off ~len ~default:Ipv4.any)
+             Ipv4.any))
+    [
+      (-1, 14); (0, -1); (1, 64); (64, 1); (65, 0); (60, 14); (max_int, 1);
+      (max_int, 14); (0, max_int); (1, max_int);
+    ]
+
 let test_wire_malformed () =
   let sample =
     Wire.encode (Packet.make_data ~src:Ipv4.any ~dst:Ipv4.broadcast "hello")
@@ -507,6 +850,9 @@ let () =
           qcheck prop_lpm_matches_naive;
           qcheck prop_lpm_remove;
           qcheck prop_lpm_sequence;
+          qcheck prop_lpm_of_list_ref;
+          qcheck prop_lpm_union_map_ref;
+          qcheck prop_lpm_ops_ref;
         ] );
       ( "ipvn",
         [
@@ -531,6 +877,10 @@ let () =
           qcheck prop_wire_decode_total;
           Alcotest.test_case "malformed inputs" `Quick test_wire_malformed;
           Alcotest.test_case "oversized body" `Quick test_wire_rejects_oversized_body;
+          qcheck prop_wire_decoders_agree_bytes;
+          qcheck prop_wire_decoders_agree_truncations;
+          Alcotest.test_case "decode_big rejects out-of-range views" `Quick
+            test_wire_decode_big_out_of_range;
         ] );
       ( "addressing",
         [
